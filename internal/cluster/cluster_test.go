@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +123,41 @@ func TestGrowthSingleSnode(t *testing.T) {
 	// 12 vnodes with Vmax=8 means at least one group split happened.
 	if c.StatsTotal().GroupSplits == 0 {
 		t.Fatal("expected a group split")
+	}
+}
+
+// groupWorkers counts the live goroutines running a group leader's
+// worker loop.
+func groupWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return strings.Count(string(buf), "(*Snode).groupWorker(")
+}
+
+// TestCloseStopsSplitGroupWorkers: a group split retires the parent's
+// worker, so after Close no groupWorker of the cluster may remain — a
+// leaked one pins the closed snode and everything it stored.
+func TestCloseStopsSplitGroupWorkers(t *testing.T) {
+	before := groupWorkers()
+	c := newTestCluster(t, 8, 4, 8, 5)
+	growCluster(t, c, 32)
+	if c.StatsTotal().GroupSplits == 0 {
+		t.Fatal("expected a group split")
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for groupWorkers() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d groupWorker goroutines left after Close (%d before boot)", groupWorkers(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -427,7 +464,7 @@ func TestClusterOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	growCluster(t, c, 6) // rebalance over TCP moves real gob-encoded data
+	growCluster(t, c, 6) // rebalance over TCP moves real data through the frame codec
 	for i := 0; i < 50; i++ {
 		v, found, err := c.Get(fmt.Sprintf("tcp-%d", i))
 		if err != nil || !found || v[0] != byte(i) {

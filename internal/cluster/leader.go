@@ -58,7 +58,7 @@ func (s *Snode) handleGroupInit(m groupInit) {
 	s.mu.Lock()
 	if _, dup := s.led[m.State.Group]; dup {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, groupInitResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
+		s.send(m.ReplyTo, errResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
 		return
 	}
 	st := m.State
@@ -73,7 +73,7 @@ func (s *Snode) handleGroupInit(m groupInit) {
 		dissolved = append(dissolved, parentGroup(st.Group))
 	}
 	s.broadcastSync(st, dissolved)
-	s.send(m.ReplyTo, groupInitResp{Op: m.Op})
+	s.send(m.ReplyTo, errResp{Op: m.Op})
 }
 
 // parentGroup strips the most-significant digit of a child identifier.
@@ -231,7 +231,7 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
 				fail(rerr.Error())
 				return
 			}
-			if resp := v.(splitAllResp); resp.Err != "" {
+			if resp := v.(errResp); resp.Err != "" {
 				fail(resp.Err)
 				return
 			}
@@ -314,16 +314,19 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 			s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Err: err.Error()})
 			return
 		}
-		if resp := v.(groupInitResp); resp.Err != "" {
+		if resp := v.(errResp); resp.Err != "" {
 			s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Err: resp.Err})
 			return
 		}
 	}
-	// The parent group is gone; retire its worker after the queue drains.
+	// The parent group is gone.  Close its queue here, because stop()
+	// closes only the queues still in s.led: the worker answers the ops
+	// already queued with Retry (lg.dead), then exits.
 	s.mu.Lock()
 	lg.dead = true
 	delete(s.led, lg.id)
 	s.mu.Unlock()
+	lg.ops.close()
 	s.stats.GroupSplits.Add(1)
 	// One of the two children, randomly chosen, receives the new vnode.
 	chosen := loID
@@ -370,7 +373,7 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
 		fail(err.Error())
 		return
 	}
-	if resp := v.(shipVnodeResp); resp.Err != "" {
+	if resp := v.(errResp); resp.Err != "" {
 		fail(resp.Err)
 		return
 	}
@@ -426,7 +429,7 @@ func (s *Snode) relinquishLeadership() error {
 		if err != nil {
 			return err
 		}
-		if resp := v.(groupInitResp); resp.Err != "" {
+		if resp := v.(errResp); resp.Err != "" {
 			return fmt.Errorf("cluster: handoff of %v to %d: %s", lg.id, target, resp.Err)
 		}
 	}

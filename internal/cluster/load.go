@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"time"
 
 	"dbdht/internal/cluster/transport"
@@ -105,11 +104,6 @@ type loadReportResp struct {
 	Reads  float64 // EWMA ops/s
 	Writes float64 // EWMA ops/s
 	Bytes  float64 // EWMA bytes/s
-}
-
-func init() {
-	gob.Register(loadReportReq{})
-	gob.Register(loadReportResp{})
 }
 
 // handleLoadReport rolls the snode's owned buckets up into one report.

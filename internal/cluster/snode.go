@@ -557,13 +557,9 @@ func (s *Snode) loop() {
 			s.deliver(m.Op, m)
 		case leaveVnodeResp:
 			s.deliver(m.Op, m)
-		case splitAllResp:
-			s.deliver(m.Op, m)
 		case transferResp:
 			s.deliver(m.Op, m)
-		case shipVnodeResp:
-			s.deliver(m.Op, m)
-		case groupInitResp:
+		case errResp:
 			s.deliver(m.Op, m)
 		case pingResp:
 			s.deliver(m.Op, m)
@@ -589,16 +585,10 @@ func (s *Snode) loop() {
 			go s.handleShipVnode(m)
 		case migBeginReq:
 			s.handleMigBegin(m)
-		case migBeginResp:
-			s.deliver(m.Op, m)
 		case migChunkReq:
 			s.handleMigChunk(m)
-		case migChunkResp:
-			s.deliver(m.Op, m)
 		case migCommitReq:
 			go s.handleMigCommit(m, env.Trace)
-		case migCommitResp:
-			s.deliver(m.Op, m)
 		case migAbortMsg:
 			s.handleMigAbort(m)
 		case loadReportReq:
@@ -621,16 +611,12 @@ func (s *Snode) loop() {
 			s.handleViewUpdate(m)
 		case replWriteReq:
 			s.handleReplWrite(m, env.Trace)
-		case replWriteResp:
-			s.deliver(m.Op, m)
 		case replProbeReq:
 			s.handleReplProbe(m)
 		case replProbeResp:
 			s.deliver(m.Op, m)
 		case replSyncReq:
 			s.handleReplSync(m)
-		case replSyncResp:
-			s.deliver(m.Op, m)
 		case replDropMsg:
 			s.handleReplDrop(m)
 		case promoteQueryReq:
@@ -639,8 +625,6 @@ func (s *Snode) loop() {
 			s.deliver(m.Op, m)
 		case promoteOrderReq:
 			go s.handlePromoteOrder(m)
-		case promoteOrderResp:
-			s.deliver(m.Op, m)
 		case overlapQueryReq:
 			s.handleOverlapQuery(m)
 		case overlapQueryResp:
@@ -800,8 +784,6 @@ func (s *Snode) setCacheLocked(p hashspace.Partition, ref ownerRef) {
 // A traced lookup records one span per snode visited — "lookup.serve" at
 // the owner, "lookup.hop" at every forwarder — so a custody chain is
 // visible end to end.
-//
-//dbdht:dataplane
 func (s *Snode) handleLookup(m lookupReq, tr transport.TraceContext) {
 	sp := beginSpan(tr, "lookup.serve")
 	s.mu.Lock()
@@ -890,7 +872,7 @@ func (s *Snode) handleSplitAll(m splitAllReq) {
 		// acknowledged.
 		s.durWaitSeq(seq)
 	}
-	s.send(m.ReplyTo, splitAllResp{Op: m.Op})
+	s.send(m.ReplyTo, errResp{Op: m.Op})
 }
 
 // splitGroupLocked splits every joined vnode of the group below newLevel
@@ -1008,7 +990,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	vs, ok := s.vnodes[m.Vnode]
 	if !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, shipVnodeResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
+		s.send(m.ReplyTo, errResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
 		return
 	}
 	parts := make([]hashspace.Partition, 0, len(vs.parts))
@@ -1018,7 +1000,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Prefix < parts[j].Prefix })
 	if len(parts) != len(m.Dests) {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, shipVnodeResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
+		s.send(m.ReplyTo, errResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
 		return
 	}
 	group, level := vs.group, vs.level
@@ -1030,7 +1012,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 		s.mu.Unlock()
 		dest := m.Dests[i]
 		if _, err := s.migratePartition(group, dest.Vnode, dest.Host, p, level, vs, bk); err != nil {
-			s.send(m.ReplyTo, shipVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(m.ReplyTo, errResp{Op: m.Op, Err: err.Error()})
 			return
 		}
 	}
@@ -1038,7 +1020,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	delete(s.vnodes, m.Vnode)
 	s.durAppendWith(func(b []byte) []byte { return encodeWalVnodeGone(b, m.Vnode) })
 	s.mu.Unlock()
-	s.send(m.ReplyTo, shipVnodeResp{Op: m.Op})
+	s.send(m.ReplyTo, errResp{Op: m.Op})
 }
 
 // routingTable snapshots this snode's custody pointers, to be bequeathed to

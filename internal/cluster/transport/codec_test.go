@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -84,19 +85,18 @@ func TestFrameRoundTripBinary(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTripGobFallback(t *testing.T) {
-	// testMsg (registered with gob in transport_test.go) has no wire
-	// codec, so it must travel on the gob path.
-	frame := encodeFrame(t, Envelope{From: 3, To: 4, Msg: testMsg{Seq: 5, S: "fallback"}})
-	if frame[frameHeaderLen+1] != formatGob {
-		t.Fatalf("format byte %d, want gob", frame[frameHeaderLen+1])
+func TestAppendFrameNamesUnencodableType(t *testing.T) {
+	type noCodec struct{ X int }
+	buf := []byte("prefix")
+	out, err := AppendFrame(buf, Envelope{From: 1, To: 2, Msg: noCodec{X: 1}})
+	if err == nil {
+		t.Fatal("a payload without a wire codec must not encode")
 	}
-	env, err := DecodeFrame(frame[frameHeaderLen:])
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "noCodec") {
+		t.Fatalf("error %q does not name the payload type", err)
 	}
-	if got := env.Msg.(testMsg); got.Seq != 5 || got.S != "fallback" {
-		t.Fatalf("gob round trip: %+v", env.Msg)
+	if string(out) != "prefix" {
+		t.Fatalf("failed encode changed the buffer: %q", out)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestDecodeFrameVersionMismatch(t *testing.T) {
 
 func TestDecodeFrameUnknownTag(t *testing.T) {
 	var body []byte
-	body = append(body, wireVersion, formatBinary, 0) // no flags
+	body = append(body, wireVersion, 0) // no flags
 	body = binary.AppendVarint(body, 1)
 	body = binary.AppendVarint(body, 2)
 	body = binary.AppendUvarint(body, 0xfffe) // never registered
@@ -134,14 +134,6 @@ func TestFrameRoundTripTraceContext(t *testing.T) {
 	if !env.Trace.Active() {
 		t.Fatal("sampled trace context must be Active after decode")
 	}
-	// Gob path: the header owns the context there too.
-	frame = encodeFrame(t, Envelope{From: 1, To: 2, Trace: tr, Msg: testMsg{Seq: 9, S: "traced"}})
-	if env, err = DecodeFrame(frame[frameHeaderLen:]); err != nil {
-		t.Fatal(err)
-	}
-	if env.Trace != tr || env.Msg.(testMsg).Seq != 9 {
-		t.Fatalf("gob trace round trip: got %+v / %+v", env.Trace, env.Msg)
-	}
 	// An untraced envelope pays exactly one flags byte and decodes to the
 	// zero context.
 	traced := encodeFrame(t, Envelope{From: -1, To: 3, Trace: tr, Msg: fuzzMsg{U: 7}})
@@ -158,32 +150,36 @@ func TestFrameRoundTripTraceContext(t *testing.T) {
 }
 
 func TestDecodeFrameOldVersionRejected(t *testing.T) {
-	// A v1 frame (no flags byte) from a pre-upgrade peer: the version check
-	// must reject it with the mixed-cluster error before misreading its
-	// envelope header as a flags byte.
-	var body []byte
-	body = append(body, 1, formatBinary) // v1 layout: version, format
-	body = binary.AppendVarint(body, -1)
-	body = binary.AppendVarint(body, 2)
-	body = binary.AppendUvarint(body, uint64(fuzzTag))
-	body = fuzzMsg{U: 1}.AppendWire(body)
-	_, err := DecodeFrame(body)
-	if err == nil {
-		t.Fatal("v1 frame must be rejected, not decoded")
-	}
-	if want := "wire version 1"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("rejection error %q does not name the peer's version", err)
+	// Frames from pre-upgrade peers: v1 (version, format) and v3
+	// (version, format, flags).  The version check must reject both with
+	// the mixed-cluster error before misreading the format byte as flags.
+	for _, hdr := range [][]byte{
+		{1, 1},    // v1: version, binary format
+		{3, 1, 0}, // v3: version, binary format, no flags
+	} {
+		body := append([]byte(nil), hdr...)
+		body = binary.AppendVarint(body, -1)
+		body = binary.AppendVarint(body, 2)
+		body = binary.AppendUvarint(body, uint64(fuzzTag))
+		body = fuzzMsg{U: 1}.AppendWire(body)
+		_, err := DecodeFrame(body)
+		if err == nil {
+			t.Fatalf("v%d frame must be rejected, not decoded", hdr[0])
+		}
+		if want := fmt.Sprintf("wire version %d", hdr[0]); !strings.Contains(err.Error(), want) {
+			t.Fatalf("rejection error %q does not name the peer's version", err)
+		}
 	}
 }
 
 func TestDecodeFrameBadTraceHeader(t *testing.T) {
 	// Truncated trace context: flags promise trace IDs the body lacks.
-	if _, err := DecodeFrame([]byte{wireVersion, formatBinary, flagTrace | flagSampled, 0x80}); err == nil {
+	if _, err := DecodeFrame([]byte{wireVersion, flagTrace | flagSampled, 0x80}); err == nil {
 		t.Fatal("truncated trace context must error")
 	}
 	// Unknown flag bits are corruption, not extension (a frame-level
 	// change bumps the version instead).
-	if _, err := DecodeFrame([]byte{wireVersion, formatBinary, 0x80}); err == nil {
+	if _, err := DecodeFrame([]byte{wireVersion, 0x80}); err == nil {
 		t.Fatal("unknown frame flags must error")
 	}
 }
@@ -223,11 +219,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		U: 123, I: -9, B: true, Bs: []byte("payload"), S: "seed", Seq: []uint64{1, 2},
 	}})
 	f.Add(valid[frameHeaderLen:])
-	gobFrame := encodeFrame(f, Envelope{From: 1, To: 2, Msg: testMsg{Seq: 1, S: "gob"}})
-	f.Add(gobFrame[frameHeaderLen:])
+	traced := encodeFrame(f, Envelope{From: 1, To: 2, Msg: testMsg{Seq: 1, S: "traced"},
+		Trace: TraceContext{TraceID: 5, SpanID: 6, Sampled: true}})
+	f.Add(traced[frameHeaderLen:])
 	f.Add([]byte{})
 	f.Add([]byte{wireVersion})
-	f.Add([]byte{wireVersion, formatBinary})
+	f.Add([]byte{wireVersion, 0})
 	f.Add([]byte{wireVersion, 99})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		env, err := DecodeFrame(body) // must not panic

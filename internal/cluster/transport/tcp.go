@@ -13,8 +13,8 @@ import (
 )
 
 // TCP is a fabric whose messages travel over real TCP connections as
-// length-prefixed frames (see codec.go): hot-path payloads use the
-// hand-rolled binary codec, the rest ride a per-frame gob fallback.
+// length-prefixed frames (see codec.go): every payload uses its
+// hand-rolled binary codec, and Send fails for a type that has none.
 // Endpoints listen on ephemeral loopback ports; the fabric object doubles
 // as the address registry (on a physical cluster this registry is the
 // deployment's static node list — the paper's model assumes cluster
@@ -251,8 +251,8 @@ var errConnClosed = errors.New("transport: connection closed")
 // Send implements Network: the envelope is encoded by the sender and
 // enqueued on its per-destination connection within the queue's byte
 // budget.  Send fails synchronously when either endpoint is off the
-// fabric or the destination's writer queue is over budget (stalled
-// peer); transmission itself is asynchronous (a connection that later
+// fabric, the payload has no wire codec, or the destination's writer
+// queue is over budget (stalled peer); transmission itself is asynchronous (a connection that later
 // breaks surfaces as RPC timeouts, and the next send redials).
 func (t *TCP) Send(env Envelope) error {
 	t.mu.RLock()
@@ -271,7 +271,7 @@ func (t *TCP) Send(env Envelope) error {
 	}
 	if err := oc.enqueue(env); err != nil {
 		if err != errConnClosed {
-			return err // over budget: fail fast, no retry
+			return err // over budget or unencodable: fail fast, no retry
 		}
 		// The connection failed under a concurrent writer error; fail()
 		// already removed it from the endpoint's map, so re-resolving
@@ -323,11 +323,10 @@ func (oc *outConn) enqueue(env Envelope) error {
 	start := len(oc.buf)
 	buf, err := AppendFrame(oc.buf, env)
 	if err != nil {
-		// Unencodable payload: drop the envelope (as before), keep the
-		// connection.
+		// Unencodable payload: fail the send so the caller does not wait
+		// for a reply that can never come; the connection stays up.
 		oc.mu.Unlock()
-		log.Printf("transport: node %d→%d: dropping envelope: %v", env.From, env.To, err)
-		return nil
+		return fmt.Errorf("transport: send %d→%d: %w", env.From, env.To, err)
 	}
 	if start > oc.budget {
 		// The backlog already queued AHEAD of this envelope exceeds the

@@ -134,3 +134,33 @@ func TestSendFailsFastOverBudget(t *testing.T) {
 		t.Fatalf("enqueue after teardown should start a fresh queue: %v", err)
 	}
 }
+
+// TestTCPSendUnencodableFails: a payload type with no wire codec must fail
+// the send synchronously, naming the type, instead of vanishing on the
+// wire and leaving the caller to wait out its RPC timeout.  The
+// connection survives for the next, encodable envelope.
+func TestTCPSendUnencodableFails(t *testing.T) {
+	n := NewTCP("127.0.0.1")
+	defer n.Close()
+	in, err := n.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Register(2); err != nil {
+		t.Fatal(err)
+	}
+	type noCodec struct{ X int }
+	err = n.Send(Envelope{From: 2, To: 1, Msg: noCodec{X: 1}})
+	if err == nil {
+		t.Fatal("send of a payload without a wire codec must fail")
+	}
+	if !strings.Contains(err.Error(), "noCodec") {
+		t.Fatalf("error %q does not name the payload type", err)
+	}
+	if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, in).Msg.(testMsg).Seq; got != 3 {
+		t.Fatalf("got seq %d after the failed send, want 3", got)
+	}
+}

@@ -32,8 +32,9 @@ type Envelope struct {
 	// fabric and in the frame header on TCP.
 	Trace TraceContext
 	// Msg is the payload.  For the TCP fabric every concrete payload type
-	// must be registered with encoding/gob (the cluster package registers
-	// its protocol messages in init).
+	// must implement WireMessage and have its decoder registered with
+	// RegisterWire (the cluster package does both in wire.go); sending any
+	// other type fails.
 	Msg any
 }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,7 +12,48 @@ type testMsg struct {
 	S   string
 }
 
-func init() { gob.Register(testMsg{}) }
+const testTag uint16 = 0x7e59
+
+func (m testMsg) WireTag() uint16 { return testTag }
+
+func (m testMsg) AppendWire(buf []byte) []byte {
+	buf = AppendVarint(buf, int64(m.Seq))
+	return AppendString(buf, m.S)
+}
+
+// kvMsg is a non-struct payload: any type with a wire codec travels.
+type kvMsg map[string][]byte
+
+const kvTag uint16 = 0x7e5a
+
+func (m kvMsg) WireTag() uint16 { return kvTag }
+
+func (m kvMsg) AppendWire(buf []byte) []byte {
+	buf = AppendUvarint(buf, uint64(len(m)))
+	for k, v := range m {
+		buf = AppendString(buf, k)
+		buf = AppendBytes(buf, v)
+	}
+	return buf
+}
+
+func init() {
+	RegisterWire(testTag, func(r *WireReader) (any, error) {
+		var m testMsg
+		m.Seq = int(r.Varint())
+		m.S = r.String()
+		return m, r.Err()
+	})
+	RegisterWire(kvTag, func(r *WireReader) (any, error) {
+		n := r.ArrayLen(2)
+		m := make(kvMsg, n)
+		for i := 0; i < n; i++ {
+			k := r.String()
+			m[k] = r.Bytes()
+		}
+		return m, r.Err()
+	})
+}
 
 // networks under test, by constructor.
 func fabrics() map[string]func() Network {
@@ -286,8 +326,8 @@ func TestTCPSendFromUnregistered(t *testing.T) {
 }
 
 func TestEnvelopeStringTypes(t *testing.T) {
-	// Envelope must carry arbitrary registered payloads for the TCP fabric.
-	gob.Register(map[string][]byte{})
+	// Envelope must carry any payload type with a registered wire codec
+	// over the TCP fabric, not only structs.
 	n := NewTCP("127.0.0.1")
 	defer n.Close()
 	in, err := n.Register(1)
@@ -295,12 +335,12 @@ func TestEnvelopeStringTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Register(2)
-	payload := map[string][]byte{"k": []byte("v")}
+	payload := kvMsg{"k": []byte("v")}
 	if err := n.Send(Envelope{From: 2, To: 1, Msg: payload}); err != nil {
 		t.Fatal(err)
 	}
 	env := recvOne(t, in)
-	got, ok := env.Msg.(map[string][]byte)
+	got, ok := env.Msg.(kvMsg)
 	if !ok || string(got["k"]) != "v" {
 		t.Fatalf("payload mangled: %+v", env.Msg)
 	}

@@ -12,9 +12,8 @@ import (
 // journaled as one typed record, encoded with the same varint helpers as
 // the wire codecs in wire.go and framed (length + CRC) by internal/wal.
 // A record's first field is its tag; tags share the number space with
-// the wire message tags 1–19 (see docs/WIRE.md) so a number can never
-// mean two different things — journal tags start at 32, leaving room for
-// future wire messages.  Like wire tags, they are a compatibility
+// the wire message tags (1–31 and 64 up, see docs/WIRE.md) so a number
+// can never mean two different things — journal tags run from 32 to 63.  Like wire tags, they are a compatibility
 // contract: never renumber, only append.
 //
 // Replay applies records in sequence order on top of the latest
@@ -116,7 +115,7 @@ func appendLpdrState(b []byte, st lpdrState) []byte {
 func readLpdrState(r *transport.WireReader) lpdrState {
 	var st lpdrState
 	st.Group = readGroup(r)
-	st.Level = uint8(r.Uvarint())
+	st.Level = readLevel(r)
 	st.Leader = transport.NodeID(r.Varint())
 	if n := r.ArrayLen(3); n > 0 {
 		st.Members = make([]memberInfo, n)

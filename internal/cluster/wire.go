@@ -8,18 +8,19 @@ import (
 	"dbdht/internal/hashspace"
 )
 
-// Hand-rolled binary codecs for the hot-path protocol messages: batch
-// req/resp (the entire data plane), the replica write fan-out and probe,
-// lookup, and ping.  These implement transport.WireMessage, so the TCP
-// fabric frames them with the binary codec instead of gob — no reflection,
-// no per-message type descriptors.  Control messages (join/split/transfer/
-// ship/sync/...) stay on the gob fallback: they are orders of magnitude
-// rarer and their payloads change more often.
+// Hand-rolled binary codecs for every protocol message.  Each message
+// implements transport.WireMessage and registers its decoder here, so the
+// TCP fabric frames everything with one reflection-free codec: the data
+// plane (batch, replica fan-out, lookup, ping, migration, load reports) in
+// tags 1-31 and the control plane (join/leave/split/transfer/ship, LPDR
+// sync, membership, replica sync and failover elections) in the control
+// range from 64.  Decoders validate every partition, splitlevel and group
+// id they read, so a corrupt frame errors instead of panicking downstream.
 //
-// Tags are a wire-compatibility contract: never renumber, only append.
-// Integers are varints (zigzag for the signed NodeID/int fields — the
-// client endpoint id is negative); byte slices and strings are
-// length-prefixed.
+// Tags are a wire-compatibility contract: never renumber, only append
+// (internal/analysis/tags.lock).  Integers are varints (zigzag for the
+// signed NodeID/int fields — the client endpoint id is negative); byte
+// slices and strings are length-prefixed.
 
 const (
 	wireTagLookupReq     uint16 = 1
@@ -27,20 +28,43 @@ const (
 	wireTagBatchReq      uint16 = 3
 	wireTagBatchResp     uint16 = 4
 	wireTagReplWriteReq  uint16 = 5
-	wireTagReplWriteResp uint16 = 6
 	wireTagReplProbeReq  uint16 = 7
 	wireTagReplProbeResp uint16 = 8
 	wireTagPingReq       uint16 = 9
 	wireTagPingResp      uint16 = 10
 	wireTagMigBeginReq   uint16 = 11
-	wireTagMigBeginResp  uint16 = 12
 	wireTagMigChunkReq   uint16 = 13
-	wireTagMigChunkResp  uint16 = 14
 	wireTagMigCommitReq  uint16 = 15
-	wireTagMigCommitResp uint16 = 16
 	wireTagMigAbort      uint16 = 17
 	wireTagLoadReq       uint16 = 18
 	wireTagLoadResp      uint16 = 19
+
+	// Control range (wire v4+).  Tags 6, 12, 14 and 16 are retired: those
+	// replies are errResp now.
+	wireTagErrResp          uint16 = 64
+	wireTagCreateVnodeReq   uint16 = 65
+	wireTagCreateVnodeResp  uint16 = 66
+	wireTagJoinGroupReq     uint16 = 67
+	wireTagJoinGroupResp    uint16 = 68
+	wireTagLeaveVnodeReq    uint16 = 69
+	wireTagLeaveVnodeResp   uint16 = 70
+	wireTagSplitAllReq      uint16 = 71
+	wireTagTransferReq      uint16 = 72
+	wireTagTransferResp     uint16 = 73
+	wireTagShipVnodeReq     uint16 = 74
+	wireTagGroupInit        uint16 = 75
+	wireTagLpdrSync         uint16 = 76
+	wireTagBootstrapInfo    uint16 = 77
+	wireTagSnodeLeaving     uint16 = 78
+	wireTagSnodeRecovered   uint16 = 79
+	wireTagViewUpdate       uint16 = 80
+	wireTagReplSyncReq      uint16 = 81
+	wireTagReplDrop         uint16 = 82
+	wireTagPromoteQueryReq  uint16 = 83
+	wireTagPromoteQueryResp uint16 = 84
+	wireTagPromoteOrderReq  uint16 = 85
+	wireTagOverlapQueryReq  uint16 = 86
+	wireTagOverlapQueryResp uint16 = 87
 )
 
 func init() {
@@ -49,20 +73,40 @@ func init() {
 	transport.RegisterWire(wireTagBatchReq, decodeBatchReq)
 	transport.RegisterWire(wireTagBatchResp, decodeBatchResp)
 	transport.RegisterWire(wireTagReplWriteReq, decodeReplWriteReq)
-	transport.RegisterWire(wireTagReplWriteResp, decodeReplWriteResp)
 	transport.RegisterWire(wireTagReplProbeReq, decodeReplProbeReq)
 	transport.RegisterWire(wireTagReplProbeResp, decodeReplProbeResp)
 	transport.RegisterWire(wireTagPingReq, decodePingReq)
 	transport.RegisterWire(wireTagPingResp, decodePingResp)
 	transport.RegisterWire(wireTagMigBeginReq, decodeMigBeginReq)
-	transport.RegisterWire(wireTagMigBeginResp, decodeMigBeginResp)
 	transport.RegisterWire(wireTagMigChunkReq, decodeMigChunkReq)
-	transport.RegisterWire(wireTagMigChunkResp, decodeMigChunkResp)
 	transport.RegisterWire(wireTagMigCommitReq, decodeMigCommitReq)
-	transport.RegisterWire(wireTagMigCommitResp, decodeMigCommitResp)
 	transport.RegisterWire(wireTagMigAbort, decodeMigAbort)
 	transport.RegisterWire(wireTagLoadReq, decodeLoadReportReq)
 	transport.RegisterWire(wireTagLoadResp, decodeLoadReportResp)
+	transport.RegisterWire(wireTagErrResp, decodeErrResp)
+	transport.RegisterWire(wireTagCreateVnodeReq, decodeCreateVnodeReq)
+	transport.RegisterWire(wireTagCreateVnodeResp, decodeCreateVnodeResp)
+	transport.RegisterWire(wireTagJoinGroupReq, decodeJoinGroupReq)
+	transport.RegisterWire(wireTagJoinGroupResp, decodeJoinGroupResp)
+	transport.RegisterWire(wireTagLeaveVnodeReq, decodeLeaveVnodeReq)
+	transport.RegisterWire(wireTagLeaveVnodeResp, decodeLeaveVnodeResp)
+	transport.RegisterWire(wireTagSplitAllReq, decodeSplitAllReq)
+	transport.RegisterWire(wireTagTransferReq, decodeTransferReq)
+	transport.RegisterWire(wireTagTransferResp, decodeTransferResp)
+	transport.RegisterWire(wireTagShipVnodeReq, decodeShipVnodeReq)
+	transport.RegisterWire(wireTagGroupInit, decodeGroupInit)
+	transport.RegisterWire(wireTagLpdrSync, decodeLpdrSync)
+	transport.RegisterWire(wireTagBootstrapInfo, decodeBootstrapInfo)
+	transport.RegisterWire(wireTagSnodeLeaving, decodeSnodeLeaving)
+	transport.RegisterWire(wireTagSnodeRecovered, decodeSnodeRecovered)
+	transport.RegisterWire(wireTagViewUpdate, decodeViewUpdate)
+	transport.RegisterWire(wireTagReplSyncReq, decodeReplSyncReq)
+	transport.RegisterWire(wireTagReplDrop, decodeReplDrop)
+	transport.RegisterWire(wireTagPromoteQueryReq, decodePromoteQueryReq)
+	transport.RegisterWire(wireTagPromoteQueryResp, decodePromoteQueryResp)
+	transport.RegisterWire(wireTagPromoteOrderReq, decodePromoteOrderReq)
+	transport.RegisterWire(wireTagOverlapQueryReq, decodeOverlapQueryReq)
+	transport.RegisterWire(wireTagOverlapQueryResp, decodeOverlapQueryResp)
 }
 
 // --- shared sub-structures ---
@@ -88,6 +132,17 @@ func readPartition(r *transport.WireReader) hashspace.Partition {
 		return hashspace.Partition{}
 	}
 	return p
+}
+
+// readLevel reads a splitlevel, rejecting levels past hashspace.MaxLevel
+// for the same reason readPartition does.
+func readLevel(r *transport.WireReader) uint8 {
+	l := r.Uvarint()
+	if l > hashspace.MaxLevel {
+		r.Invalid("splitlevel")
+		return 0
+	}
+	return uint8(l)
 }
 
 func appendVnodeName(b []byte, n VnodeName) []byte {
@@ -175,8 +230,7 @@ func (m lookupResp) AppendWire(b []byte) []byte {
 	b = appendVnodeName(b, m.Owner)
 	b = transport.AppendVarint(b, int64(m.Host))
 	b = appendPartition(b, m.Partition)
-	b = transport.AppendUvarint(b, m.Group.Bits)
-	b = transport.AppendUvarint(b, uint64(m.Group.Len))
+	b = appendGroup(b, m.Group)
 	b = transport.AppendVarint(b, int64(m.Leader))
 	return transport.AppendString(b, m.Err)
 }
@@ -187,7 +241,7 @@ func decodeLookupResp(r *transport.WireReader) (any, error) {
 	m.Owner = readVnodeName(r)
 	m.Host = transport.NodeID(r.Varint())
 	m.Partition = readPartition(r)
-	m.Group = core.GroupID{Bits: r.Uvarint(), Len: uint8(r.Uvarint())}
+	m.Group = readGroup(r)
 	m.Leader = transport.NodeID(r.Varint())
 	m.Err = r.String()
 	return m, r.Err()
@@ -228,11 +282,7 @@ func (m batchResp) AppendWire(b []byte) []byte {
 		b = transport.AppendBool(b, res.Found)
 		b = transport.AppendString(b, res.Err)
 	}
-	b = transport.AppendUvarint(b, uint64(len(m.Served)))
-	for _, e := range m.Served {
-		b = appendRouteEntry(b, e)
-	}
-	return b
+	return appendRoutes(b, m.Served)
 }
 
 func decodeBatchResp(r *transport.WireReader) (any, error) {
@@ -246,12 +296,7 @@ func decodeBatchResp(r *transport.WireReader) (any, error) {
 			m.Results[i].Err = r.String()
 		}
 	}
-	if n := r.ArrayLen(5); n > 0 {
-		m.Served = make([]routeEntry, n)
-		for i := range m.Served {
-			m.Served[i] = readRouteEntry(r)
-		}
-	}
+	m.Served = readRoutes(r)
 	return m, r.Err()
 }
 
@@ -287,20 +332,6 @@ func decodeReplWriteReq(r *transport.WireReader) (any, error) {
 	}
 	m.ReplyTo = transport.NodeID(r.Varint())
 	m.private = true // decoded slices are exclusively this message's
-	return m, r.Err()
-}
-
-func (m replWriteResp) WireTag() uint16 { return wireTagReplWriteResp }
-
-func (m replWriteResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeReplWriteResp(r *transport.WireReader) (any, error) {
-	var m replWriteResp
-	m.Op = r.Uvarint()
-	m.Err = r.String()
 	return m, r.Err()
 }
 
@@ -374,7 +405,16 @@ func appendGroup(b []byte, g core.GroupID) []byte {
 }
 
 func readGroup(r *transport.WireReader) core.GroupID {
-	return core.GroupID{Bits: r.Uvarint(), Len: uint8(r.Uvarint())}
+	bits := r.Uvarint()
+	n := r.Uvarint()
+	// Validated like readPartition: a group id deeper than 63 digits would
+	// panic at its next split, and stray bits above Len would give one
+	// group two names.
+	if n > 63 || bits>>n != 0 {
+		r.Invalid("group id")
+		return core.GroupID{}
+	}
+	return core.GroupID{Bits: bits, Len: uint8(n)}
 }
 
 func appendMigItems(b []byte, items []migItem) []byte {
@@ -418,22 +458,8 @@ func decodeMigBeginReq(r *transport.WireReader) (any, error) {
 	m.Group = readGroup(r)
 	m.To = readVnodeName(r)
 	m.Partition = readPartition(r)
-	m.Level = uint8(r.Uvarint())
+	m.Level = readLevel(r)
 	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
-}
-
-func (m migBeginResp) WireTag() uint16 { return wireTagMigBeginResp }
-
-func (m migBeginResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeMigBeginResp(r *transport.WireReader) (any, error) {
-	var m migBeginResp
-	m.Op = r.Uvarint()
-	m.Err = r.String()
 	return m, r.Err()
 }
 
@@ -458,20 +484,6 @@ func decodeMigChunkReq(r *transport.WireReader) (any, error) {
 	return m, r.Err()
 }
 
-func (m migChunkResp) WireTag() uint16 { return wireTagMigChunkResp }
-
-func (m migChunkResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeMigChunkResp(r *transport.WireReader) (any, error) {
-	var m migChunkResp
-	m.Op = r.Uvarint()
-	m.Err = r.String()
-	return m, r.Err()
-}
-
 func (m migCommitReq) WireTag() uint16 { return wireTagMigCommitReq }
 
 func (m migCommitReq) AppendWire(b []byte) []byte {
@@ -490,20 +502,6 @@ func decodeMigCommitReq(r *transport.WireReader) (any, error) {
 	m.Items = readMigItems(r)
 	m.ReplyTo = transport.NodeID(r.Varint())
 	m.private = true
-	return m, r.Err()
-}
-
-func (m migCommitResp) WireTag() uint16 { return wireTagMigCommitResp }
-
-func (m migCommitResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeMigCommitResp(r *transport.WireReader) (any, error) {
-	var m migCommitResp
-	m.Op = r.Uvarint()
-	m.Err = r.String()
 	return m, r.Err()
 }
 
@@ -566,5 +564,453 @@ func decodeLoadReportResp(r *transport.WireReader) (any, error) {
 	m.Reads = readFloat(r)
 	m.Writes = readFloat(r)
 	m.Bytes = readFloat(r)
+	return m, r.Err()
+}
+
+// --- control plane ---
+
+func (m errResp) WireTag() uint16 { return wireTagErrResp }
+
+func (m errResp) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	return transport.AppendString(b, m.Err)
+}
+
+func decodeErrResp(r *transport.WireReader) (any, error) {
+	var m errResp
+	m.Op = r.Uvarint()
+	m.Err = r.String()
+	return m, r.Err()
+}
+
+func (m createVnodeReq) WireTag() uint16 { return wireTagCreateVnodeReq }
+
+func (m createVnodeReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = transport.AppendVarint(b, int64(m.ReplyTo))
+	return transport.AppendBool(b, m.Bootstrap)
+}
+
+func decodeCreateVnodeReq(r *transport.WireReader) (any, error) {
+	var m createVnodeReq
+	m.Op = r.Uvarint()
+	m.ReplyTo = transport.NodeID(r.Varint())
+	m.Bootstrap = r.Bool()
+	return m, r.Err()
+}
+
+func (m createVnodeResp) WireTag() uint16 { return wireTagCreateVnodeResp }
+
+func (m createVnodeResp) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendVnodeName(b, m.Vnode)
+	b = appendGroup(b, m.Group)
+	return transport.AppendString(b, m.Err)
+}
+
+func decodeCreateVnodeResp(r *transport.WireReader) (any, error) {
+	var m createVnodeResp
+	m.Op = r.Uvarint()
+	m.Vnode = readVnodeName(r)
+	m.Group = readGroup(r)
+	m.Err = r.String()
+	return m, r.Err()
+}
+
+func (m joinGroupReq) WireTag() uint16 { return wireTagJoinGroupReq }
+
+func (m joinGroupReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendGroup(b, m.Group)
+	b = appendVnodeName(b, m.NewVnode)
+	b = transport.AppendVarint(b, int64(m.NewHost))
+	b = transport.AppendVarint(b, int64(m.ReplyTo))
+	return transport.AppendVarint(b, int64(m.Hops))
+}
+
+func decodeJoinGroupReq(r *transport.WireReader) (any, error) {
+	var m joinGroupReq
+	m.Op = r.Uvarint()
+	m.Group = readGroup(r)
+	m.NewVnode = readVnodeName(r)
+	m.NewHost = transport.NodeID(r.Varint())
+	m.ReplyTo = transport.NodeID(r.Varint())
+	m.Hops = int(r.Varint())
+	return m, r.Err()
+}
+
+func (m joinGroupResp) WireTag() uint16 { return wireTagJoinGroupResp }
+
+func (m joinGroupResp) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendGroup(b, m.Group)
+	b = transport.AppendBool(b, m.Retry)
+	return transport.AppendString(b, m.Err)
+}
+
+func decodeJoinGroupResp(r *transport.WireReader) (any, error) {
+	var m joinGroupResp
+	m.Op = r.Uvarint()
+	m.Group = readGroup(r)
+	m.Retry = r.Bool()
+	m.Err = r.String()
+	return m, r.Err()
+}
+
+func (m leaveVnodeReq) WireTag() uint16 { return wireTagLeaveVnodeReq }
+
+func (m leaveVnodeReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendVnodeName(b, m.Vnode)
+	b = appendGroup(b, m.Group)
+	b = transport.AppendVarint(b, int64(m.ReplyTo))
+	return transport.AppendVarint(b, int64(m.Hops))
+}
+
+func decodeLeaveVnodeReq(r *transport.WireReader) (any, error) {
+	var m leaveVnodeReq
+	m.Op = r.Uvarint()
+	m.Vnode = readVnodeName(r)
+	m.Group = readGroup(r)
+	m.ReplyTo = transport.NodeID(r.Varint())
+	m.Hops = int(r.Varint())
+	return m, r.Err()
+}
+
+func (m leaveVnodeResp) WireTag() uint16 { return wireTagLeaveVnodeResp }
+
+func (m leaveVnodeResp) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = transport.AppendBool(b, m.Retry)
+	return transport.AppendString(b, m.Err)
+}
+
+func decodeLeaveVnodeResp(r *transport.WireReader) (any, error) {
+	var m leaveVnodeResp
+	m.Op = r.Uvarint()
+	m.Retry = r.Bool()
+	m.Err = r.String()
+	return m, r.Err()
+}
+
+func (m splitAllReq) WireTag() uint16 { return wireTagSplitAllReq }
+
+func (m splitAllReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendGroup(b, m.Group)
+	b = transport.AppendUvarint(b, uint64(m.NewLevel))
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodeSplitAllReq(r *transport.WireReader) (any, error) {
+	var m splitAllReq
+	m.Op = r.Uvarint()
+	m.Group = readGroup(r)
+	m.NewLevel = readLevel(r)
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m transferReq) WireTag() uint16 { return wireTagTransferReq }
+
+func (m transferReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendGroup(b, m.Group)
+	b = appendVnodeName(b, m.From)
+	b = appendVnodeName(b, m.To)
+	b = transport.AppendVarint(b, int64(m.ToHost))
+	b = transport.AppendUvarint(b, uint64(m.Level))
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodeTransferReq(r *transport.WireReader) (any, error) {
+	var m transferReq
+	m.Op = r.Uvarint()
+	m.Group = readGroup(r)
+	m.From = readVnodeName(r)
+	m.To = readVnodeName(r)
+	m.ToHost = transport.NodeID(r.Varint())
+	m.Level = readLevel(r)
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m transferResp) WireTag() uint16 { return wireTagTransferResp }
+
+func (m transferResp) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendPartition(b, m.Partition)
+	b = transport.AppendVarint(b, int64(m.Keys))
+	return transport.AppendString(b, m.Err)
+}
+
+func decodeTransferResp(r *transport.WireReader) (any, error) {
+	var m transferResp
+	m.Op = r.Uvarint()
+	m.Partition = readPartition(r)
+	m.Keys = int(r.Varint())
+	m.Err = r.String()
+	return m, r.Err()
+}
+
+func (m shipVnodeReq) WireTag() uint16 { return wireTagShipVnodeReq }
+
+func (m shipVnodeReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendVnodeName(b, m.Vnode)
+	b = transport.AppendUvarint(b, uint64(len(m.Dests)))
+	for _, d := range m.Dests {
+		b = appendOwnerRef(b, d)
+	}
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodeShipVnodeReq(r *transport.WireReader) (any, error) {
+	var m shipVnodeReq
+	m.Op = r.Uvarint()
+	m.Vnode = readVnodeName(r)
+	if n := r.ArrayLen(3); n > 0 {
+		m.Dests = make([]ownerRef, n)
+		for i := range m.Dests {
+			m.Dests[i] = readOwnerRef(r)
+		}
+	}
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m groupInit) WireTag() uint16 { return wireTagGroupInit }
+
+func (m groupInit) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendLpdrState(b, m.State)
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodeGroupInit(r *transport.WireReader) (any, error) {
+	var m groupInit
+	m.Op = r.Uvarint()
+	m.State = readLpdrState(r)
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m lpdrSyncMsg) WireTag() uint16 { return wireTagLpdrSync }
+
+func (m lpdrSyncMsg) AppendWire(b []byte) []byte {
+	b = appendLpdrState(b, m.State)
+	b = transport.AppendUvarint(b, uint64(len(m.Dissolved)))
+	for _, g := range m.Dissolved {
+		b = appendGroup(b, g)
+	}
+	return b
+}
+
+func decodeLpdrSync(r *transport.WireReader) (any, error) {
+	var m lpdrSyncMsg
+	m.State = readLpdrState(r)
+	if n := r.ArrayLen(2); n > 0 {
+		m.Dissolved = make([]core.GroupID, n)
+		for i := range m.Dissolved {
+			m.Dissolved[i] = readGroup(r)
+		}
+	}
+	return m, r.Err()
+}
+
+func (m bootstrapInfo) WireTag() uint16 { return wireTagBootstrapInfo }
+
+func (m bootstrapInfo) AppendWire(b []byte) []byte { return appendOwnerRef(b, m.Owner) }
+
+func decodeBootstrapInfo(r *transport.WireReader) (any, error) {
+	m := bootstrapInfo{Owner: readOwnerRef(r)}
+	return m, r.Err()
+}
+
+func appendRoutes(b []byte, routes []routeEntry) []byte {
+	b = transport.AppendUvarint(b, uint64(len(routes)))
+	for _, e := range routes {
+		b = appendRouteEntry(b, e)
+	}
+	return b
+}
+
+func readRoutes(r *transport.WireReader) []routeEntry {
+	n := r.ArrayLen(5)
+	if n == 0 {
+		return nil
+	}
+	routes := make([]routeEntry, n)
+	for i := range routes {
+		routes[i] = readRouteEntry(r)
+	}
+	return routes
+}
+
+func (m snodeLeavingMsg) WireTag() uint16 { return wireTagSnodeLeaving }
+
+func (m snodeLeavingMsg) AppendWire(b []byte) []byte {
+	b = transport.AppendVarint(b, int64(m.Leaving))
+	b = appendRoutes(b, m.Routes)
+	return transport.AppendBool(b, m.Crashed)
+}
+
+func decodeSnodeLeaving(r *transport.WireReader) (any, error) {
+	var m snodeLeavingMsg
+	m.Leaving = transport.NodeID(r.Varint())
+	m.Routes = readRoutes(r)
+	m.Crashed = r.Bool()
+	return m, r.Err()
+}
+
+func (m snodeRecoveredMsg) WireTag() uint16 { return wireTagSnodeRecovered }
+
+func (m snodeRecoveredMsg) AppendWire(b []byte) []byte {
+	b = transport.AppendVarint(b, int64(m.Recovered))
+	return appendRoutes(b, m.Routes)
+}
+
+func decodeSnodeRecovered(r *transport.WireReader) (any, error) {
+	var m snodeRecoveredMsg
+	m.Recovered = transport.NodeID(r.Varint())
+	m.Routes = readRoutes(r)
+	return m, r.Err()
+}
+
+func (m viewUpdate) WireTag() uint16 { return wireTagViewUpdate }
+
+func (m viewUpdate) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Epoch)
+	b = transport.AppendUvarint(b, uint64(len(m.Snodes)))
+	for _, id := range m.Snodes {
+		b = transport.AppendVarint(b, int64(id))
+	}
+	return b
+}
+
+func decodeViewUpdate(r *transport.WireReader) (any, error) {
+	var m viewUpdate
+	m.Epoch = r.Uvarint()
+	if n := r.ArrayLen(1); n > 0 {
+		m.Snodes = make([]transport.NodeID, n)
+		for i := range m.Snodes {
+			m.Snodes[i] = transport.NodeID(r.Varint())
+		}
+	}
+	return m, r.Err()
+}
+
+func (m replSyncReq) WireTag() uint16 { return wireTagReplSyncReq }
+
+func (m replSyncReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendPartition(b, m.Partition)
+	b = appendKVMap(b, m.Data)
+	b = transport.AppendUvarint(b, m.Ver)
+	b = appendGroup(b, m.Group)
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodeReplSyncReq(r *transport.WireReader) (any, error) {
+	var m replSyncReq
+	m.Op = r.Uvarint()
+	m.Partition = readPartition(r)
+	m.Data = readKVMap(r)
+	m.Ver = r.Uvarint()
+	m.Group = readGroup(r)
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m replDropMsg) WireTag() uint16 { return wireTagReplDrop }
+
+func (m replDropMsg) AppendWire(b []byte) []byte { return appendPartitions(b, m.Partitions) }
+
+func decodeReplDrop(r *transport.WireReader) (any, error) {
+	m := replDropMsg{Partitions: readPartitions(r)}
+	return m, r.Err()
+}
+
+func (m promoteQueryReq) WireTag() uint16 { return wireTagPromoteQueryReq }
+
+func (m promoteQueryReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendPartition(b, m.Partition)
+	b = transport.AppendVarint(b, int64(m.Dead))
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodePromoteQueryReq(r *transport.WireReader) (any, error) {
+	var m promoteQueryReq
+	m.Op = r.Uvarint()
+	m.Partition = readPartition(r)
+	m.Dead = transport.NodeID(r.Varint())
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m promoteQueryResp) WireTag() uint16 { return wireTagPromoteQueryResp }
+
+func (m promoteQueryResp) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = transport.AppendBool(b, m.Has)
+	b = transport.AppendBool(b, m.Prov)
+	return transport.AppendUvarint(b, m.Ver)
+}
+
+func decodePromoteQueryResp(r *transport.WireReader) (any, error) {
+	var m promoteQueryResp
+	m.Op = r.Uvarint()
+	m.Has = r.Bool()
+	m.Prov = r.Bool()
+	m.Ver = r.Uvarint()
+	return m, r.Err()
+}
+
+func (m promoteOrderReq) WireTag() uint16 { return wireTagPromoteOrderReq }
+
+func (m promoteOrderReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendPartition(b, m.Partition)
+	b = transport.AppendVarint(b, int64(m.Dead))
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodePromoteOrderReq(r *transport.WireReader) (any, error) {
+	var m promoteOrderReq
+	m.Op = r.Uvarint()
+	m.Partition = readPartition(r)
+	m.Dead = transport.NodeID(r.Varint())
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m overlapQueryReq) WireTag() uint16 { return wireTagOverlapQueryReq }
+
+func (m overlapQueryReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	b = appendPartition(b, m.Partition)
+	return transport.AppendVarint(b, int64(m.ReplyTo))
+}
+
+func decodeOverlapQueryReq(r *transport.WireReader) (any, error) {
+	var m overlapQueryReq
+	m.Op = r.Uvarint()
+	m.Partition = readPartition(r)
+	m.ReplyTo = transport.NodeID(r.Varint())
+	return m, r.Err()
+}
+
+func (m overlapQueryResp) WireTag() uint16 { return wireTagOverlapQueryResp }
+
+func (m overlapQueryResp) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.Op)
+	return transport.AppendBool(b, m.Deeper)
+}
+
+func decodeOverlapQueryResp(r *transport.WireReader) (any, error) {
+	var m overlapQueryResp
+	m.Op = r.Uvarint()
+	m.Deeper = r.Bool()
 	return m, r.Err()
 }
