@@ -11,13 +11,16 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"dbdht/internal/batchwire"
 )
 
 // MaxBodyBytes caps how much of any response body the client will read.
 // It must fit a legal batch response: the server bounds a *request* at
 // 8 MiB, but a batch GET of keys whose values were written individually
-// can return many 8 MiB values, base64-inflated 4/3× in JSON.  64 MiB
-// bounds memory while accommodating realistic batches.
+// can return many 8 MiB values (base64-inflated 4/3× more when the
+// response is JSON, which this client never asks for).  64 MiB bounds
+// memory while accommodating realistic batches.
 const MaxBodyBytes = 64 << 20
 
 // DefaultRequestTimeout bounds a request whose context has no deadline.
@@ -121,8 +124,18 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, co
 }
 
 // readBody drains at most MaxBodyBytes of a response body, erroring if
-// the server sends more.
+// the server sends more.  A body of known length is read in one buffer of
+// that size.
 func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > MaxBodyBytes {
+		return nil, fmt.Errorf("dhtd: response body exceeds %d bytes", MaxBodyBytes)
+	} else if n >= 0 {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes+1))
 	if err != nil {
 		return nil, err
@@ -245,21 +258,40 @@ type Result struct {
 // OK reports whether the operation on this key succeeded.
 func (r Result) OK() bool { return r.Error == "" }
 
-type batchRequest struct {
-	Op    string `json:"op"`
-	Items []Item `json:"items"`
-}
-
-type batchResponse struct {
-	Results []Result `json:"results"`
-}
-
-func (c *Client) batch(ctx context.Context, op string, items []Item) ([]Result, error) {
-	var out batchResponse
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/kv:batch", batchRequest{Op: op, Items: items}, &out); err != nil {
+// batch sends one batch in the binary body format of package batchwire.
+// The results' values are subslices of the one buffer the response is
+// read into.
+func (c *Client) batch(ctx context.Context, op batchwire.Op, items []Item) ([]Result, error) {
+	wire := make([]batchwire.Item, len(items))
+	for i, it := range items {
+		wire[i] = batchwire.Item{Key: it.Key, Value: it.Value}
+	}
+	body := batchwire.AppendRequest(nil, op, wire)
+	resp, cancel, err := c.do(ctx, http.MethodPost, "/v1/kv:batch", bytes.NewReader(body), batchwire.ContentType)
+	if err != nil {
 		return nil, err
 	}
-	return out.Results, nil
+	defer cancel()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return nil, errorFrom(resp)
+	}
+	defer resp.Body.Close()
+	raw, err := readBody(resp)
+	if err != nil {
+		return nil, err
+	}
+	res, err := batchwire.DecodeResponse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("dhtd: batch response: %w", err)
+	}
+	if len(res) != len(items) {
+		return nil, fmt.Errorf("dhtd: batch response has %d results for %d items", len(res), len(items))
+	}
+	out := make([]Result, len(res))
+	for i, r := range res {
+		out[i] = Result{Key: items[i].Key, Found: r.Found, Value: r.Value, Error: r.Err}
+	}
+	return out, nil
 }
 
 // --- write retry ---
@@ -336,7 +368,7 @@ func (c *Client) retrying(ctx context.Context, op func() error) error {
 // writeBatch issues one batch write and, when a retry budget is set,
 // re-issues just the transiently failed keys with jittered backoff until
 // all succeed or the budget runs out.  Results stay parallel to items.
-func (c *Client) writeBatch(ctx context.Context, op string, items []Item) ([]Result, error) {
+func (c *Client) writeBatch(ctx context.Context, op batchwire.Op, items []Item) ([]Result, error) {
 	results, err := c.batch(ctx, op, items)
 	if c.retryBudget <= 0 {
 		return results, err
@@ -402,18 +434,18 @@ func (c *Client) writeBatch(ctx context.Context, op string, items []Item) ([]Res
 // and partial failures are reported per key.  With WithWriteRetry set,
 // transiently failed keys are retried within the budget.
 func (c *Client) MPut(ctx context.Context, items []Item) ([]Result, error) {
-	return c.writeBatch(ctx, "put", items)
+	return c.writeBatch(ctx, batchwire.OpPut, items)
 }
 
 // MGet fetches many keys in one request.
 func (c *Client) MGet(ctx context.Context, keys []string) ([]Result, error) {
-	return c.batch(ctx, "get", keyItems(keys))
+	return c.batch(ctx, batchwire.OpGet, keyItems(keys))
 }
 
 // MDelete removes many keys in one request.  With WithWriteRetry set,
 // transiently failed keys are retried within the budget.
 func (c *Client) MDelete(ctx context.Context, keys []string) ([]Result, error) {
-	return c.writeBatch(ctx, "delete", keyItems(keys))
+	return c.writeBatch(ctx, batchwire.OpDelete, keyItems(keys))
 }
 
 func keyItems(keys []string) []Item {

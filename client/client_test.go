@@ -3,11 +3,14 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"dbdht/internal/batchwire"
 )
 
 // TestRequestTimeout verifies every request gets a deadline even when the
@@ -81,33 +84,52 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
+// batchServer is a fake dhtd whose batch route answers with reply's
+// results in the binary body format, after checking the client sent that
+// format.
+func batchServer(t *testing.T, reply func(items []batchwire.Item) []batchwire.Result) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ct := r.Header.Get("Content-Type"); ct != batchwire.ContentType {
+			t.Errorf("batch request Content-Type = %q, want %q", ct, batchwire.ContentType)
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("read batch request: %v", err)
+		}
+		_, items, err := batchwire.DecodeRequest(body)
+		if err != nil {
+			t.Errorf("decode batch request: %v", err)
+		}
+		w.Header().Set("Content-Type", batchwire.ContentType)
+		w.Write(batchwire.AppendResponse(nil, reply(items)))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // TestWriteRetryBatch verifies that with a retry budget only the
 // transiently failed keys of a batch are re-issued, and the merged
 // results come back in input order.
 func TestWriteRetryBatch(t *testing.T) {
 	var attempts int
-	var secondBody batchRequest
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("decode batch request: %v", err)
-		}
+	var second []batchwire.Item
+	ts := batchServer(t, func(items []batchwire.Item) []batchwire.Result {
 		attempts++
-		var resp batchResponse
-		for _, it := range req.Items {
-			res := Result{Key: it.Key}
+		var results []batchwire.Result
+		for _, it := range items {
+			var res batchwire.Result
 			// First attempt: keys on the "promoting" partition fail.
 			if attempts == 1 && strings.HasPrefix(it.Key, "hot-") {
-				res.Error = "partition frozen for handover"
+				res.Err = "partition frozen for handover"
 			}
-			resp.Results = append(resp.Results, res)
+			results = append(results, res)
 		}
 		if attempts == 2 {
-			secondBody = req
+			second = items
 		}
-		json.NewEncoder(w).Encode(resp)
-	}))
-	defer ts.Close()
+		return results
+	})
 	cl := New(ts.URL, WithWriteRetry(2*time.Second))
 	items := []Item{
 		{Key: "cold-0", Value: []byte("a")},
@@ -122,8 +144,8 @@ func TestWriteRetryBatch(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("server saw %d attempts, want 2", attempts)
 	}
-	if len(secondBody.Items) != 2 || secondBody.Items[0].Key != "hot-0" || secondBody.Items[1].Key != "hot-1" {
-		t.Fatalf("retry re-sent %+v, want only the two hot keys", secondBody.Items)
+	if len(second) != 2 || second[0].Key != "hot-0" || second[1].Key != "hot-1" {
+		t.Fatalf("retry re-sent %+v, want only the two hot keys", second)
 	}
 	if len(res) != len(items) {
 		t.Fatalf("got %d results, want %d", len(res), len(items))
@@ -139,13 +161,10 @@ func TestWriteRetryBatch(t *testing.T) {
 // are returned immediately, not retried.
 func TestWriteRetryPermanentError(t *testing.T) {
 	var attempts int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := batchServer(t, func([]batchwire.Item) []batchwire.Result {
 		attempts++
-		json.NewEncoder(w).Encode(batchResponse{Results: []Result{
-			{Key: "k", Error: "value exceeds maximum size"},
-		}})
-	}))
-	defer ts.Close()
+		return []batchwire.Result{{Err: "value exceeds maximum size"}}
+	})
 	cl := New(ts.URL, WithWriteRetry(2*time.Second))
 	res, err := cl.MPut(context.Background(), []Item{{Key: "k", Value: []byte("v")}})
 	if err != nil {
@@ -163,13 +182,10 @@ func TestWriteRetryPermanentError(t *testing.T) {
 // gives up once the budget is spent instead of retrying forever.
 func TestWriteRetryBudget(t *testing.T) {
 	var attempts int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := batchServer(t, func([]batchwire.Item) []batchwire.Result {
 		attempts++
-		json.NewEncoder(w).Encode(batchResponse{Results: []Result{
-			{Key: "k", Error: "no route to partition"},
-		}})
-	}))
-	defer ts.Close()
+		return []batchwire.Result{{Err: "no route to partition"}}
+	})
 	cl := New(ts.URL, WithWriteRetry(150*time.Millisecond))
 	start := time.Now()
 	res, err := cl.MPut(context.Background(), []Item{{Key: "k", Value: []byte("v")}})

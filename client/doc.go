@@ -2,7 +2,8 @@
 // internal/server (and cmd/dhtd).  It reuses connections across calls —
 // one Client is meant to live for the life of the program — and offers
 // batch helpers mapping 1:1 onto the cluster's MPut/MGet/MDelete, which
-// fan out across the DHT's groups in parallel server-side.
+// fan out across the DHT's groups in parallel server-side.  Batches
+// travel in the server's binary batch body, not JSON.
 //
 // Every method takes a context.Context: cancel it (or let its deadline
 // pass) to abort the request.  Contexts without a deadline get the

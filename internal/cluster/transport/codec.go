@@ -231,8 +231,8 @@ type WireReader struct {
 	err  error
 }
 
-// NewWireReader returns a reader over data.  The reader never mutates or
-// retains data beyond the decode call.
+// NewWireReader returns a reader over data.  The reader never mutates
+// data, and only View results retain it beyond the decode call.
 func NewWireReader(data []byte) *WireReader { return &WireReader{data: data} }
 
 func (r *WireReader) fail(what string) {
@@ -314,6 +314,30 @@ func (r *WireReader) Bytes() []byte {
 	copy(out, r.data[r.off:r.off+int(n)])
 	r.off += int(n)
 	return out
+}
+
+// View reads a length-prefixed byte slice like Bytes, but returns it as a
+// subslice of the reader's input instead of a copy.  The caller must own
+// data and never reuse it while a View is live, so View does not suit the
+// frame codec's pooled buffers.  The result's capacity ends at the field,
+// so appending to it cannot overwrite the next one.  A zero-length slice
+// decodes as nil.
+func (r *WireReader) View() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(r.Len()) {
+		r.fail("byte slice")
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	end := r.off + int(n)
+	v := r.data[r.off:end:end]
+	r.off = end
+	return v
 }
 
 // String reads a length-prefixed string.

@@ -209,6 +209,34 @@ func TestWireReaderHugeCountRejected(t *testing.T) {
 	if b := r.Bytes(); b != nil || r.Err() == nil {
 		t.Fatalf("Bytes = %v, err = %v; want nil and an error", b, r.Err())
 	}
+	r = NewWireReader(body)
+	if b := r.View(); b != nil || r.Err() == nil {
+		t.Fatalf("View = %v, err = %v; want nil and an error", b, r.Err())
+	}
+}
+
+// TestWireReaderView checks that View aliases the input with its capacity
+// cut at the field, and decodes an empty field as nil.
+func TestWireReaderView(t *testing.T) {
+	data := AppendBytes(nil, []byte("abc"))
+	data = AppendBytes(data, nil)
+	data = AppendBytes(data, []byte("z"))
+	orig := string(data)
+	r := NewWireReader(data)
+	v, empty, z := r.View(), r.View(), r.View()
+	if err := r.Err(); err != nil || r.Len() != 0 {
+		t.Fatalf("err = %v, %d bytes left", err, r.Len())
+	}
+	if string(v) != "abc" || &v[0] != &data[1] {
+		t.Fatalf("View = %q, want \"abc\" aliasing the input", v)
+	}
+	if empty != nil {
+		t.Fatalf("empty View = %v, want nil", empty)
+	}
+	_ = append(v, 'X') // must reallocate, not clobber the next field
+	if string(z) != "z" || string(data) != orig {
+		t.Fatalf("append to a View overwrote the input: %q", data)
+	}
 }
 
 // FuzzDecodeFrame asserts that arbitrarily corrupt frame bodies error

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dbdht/internal/batchwire"
 	"dbdht/internal/cluster"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/metrics"
@@ -117,15 +118,52 @@ func clusterErrCode(err error) int {
 	}
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// readBody reads a request body of at most MaxValueBytes into one buffer,
+// sized by Content-Length when the request states it.  An oversized body
+// fails with an *http.MaxBytesError.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, MaxValueBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+	if n := r.ContentLength; n >= 0 && n <= MaxValueBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
 	}
-	return true
+	return io.ReadAll(body)
+}
+
+// tooLarge reports whether err is a body exceeding MaxValueBytes.
+func tooLarge(err error) bool {
+	var tooBig *http.MaxBytesError
+	return errors.As(err, &tooBig)
+}
+
+// writeBodyErr answers a request whose body could not be read or decoded:
+// 413 when it exceeded MaxValueBytes, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	if tooLarge(err) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxValueBytes)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
+// readJSON decodes a request body holding exactly one JSON value into v.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxValueBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !tooLarge(err) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	writeBodyErr(w, err)
+	return false
 }
 
 func pathID(r *http.Request) (transport.NodeID, error) {
@@ -144,10 +182,9 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "empty key")
 		return
 	}
-	value, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxValueBytes))
+	value, err := readBody(w, r)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if tooLarge(err) {
 			writeErr(w, http.StatusRequestEntityTooLarge, "value exceeds %d bytes", MaxValueBytes)
 			return
 		}
@@ -224,38 +261,89 @@ type BatchResult struct {
 	Error string `json:"error,omitempty"`
 }
 
+// handleBatch serves a batch in either body format: the binary one of
+// package batchwire when the request says so by its Content-Type, JSON
+// otherwise.  The answer comes in the request's format; errors that fail
+// the whole batch are JSON in both.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !readJSON(w, r, &req) {
-		return
+	binary := r.Header.Get("Content-Type") == batchwire.ContentType
+	var (
+		op    batchwire.Op
+		items []batchwire.Item
+	)
+	if binary {
+		// The decoded values alias body, which nothing reuses: the snodes
+		// copy a put's values as they apply it.
+		body, err := readBody(w, r)
+		if err == nil {
+			op, items, err = batchwire.DecodeRequest(body)
+		}
+		if err != nil {
+			writeBodyErr(w, err)
+			return
+		}
+	} else {
+		var req BatchRequest
+		if !readJSON(w, r, &req) {
+			return
+		}
+		switch req.Op {
+		case "put":
+			op = batchwire.OpPut
+		case "get":
+			op = batchwire.OpGet
+		case "delete":
+			op = batchwire.OpDelete
+		default:
+			writeErr(w, http.StatusBadRequest, "unknown batch op %q (want put, get or delete)", req.Op)
+			return
+		}
+		items = make([]batchwire.Item, len(req.Items))
+		for i, it := range req.Items {
+			items[i] = batchwire.Item{Key: it.Key, Value: it.Value}
+		}
+	}
+	for i, it := range items {
+		if it.Key == "" {
+			writeErr(w, http.StatusBadRequest, "item %d: empty key", i)
+			return
+		}
 	}
 	var (
 		results []cluster.BatchResult
 		err     error
 	)
-	switch req.Op {
-	case "put":
-		items := make([]cluster.KV, len(req.Items))
-		for i, it := range req.Items {
-			items[i] = cluster.KV{Key: it.Key, Value: it.Value}
+	if op == batchwire.OpPut {
+		kvs := make([]cluster.KV, len(items))
+		for i, it := range items {
+			kvs[i] = cluster.KV{Key: it.Key, Value: it.Value}
 		}
-		results, err = s.c.MPut(items)
-	case "get", "delete":
-		keys := make([]string, len(req.Items))
-		for i, it := range req.Items {
+		results, err = s.c.MPut(kvs)
+	} else {
+		keys := make([]string, len(items))
+		for i, it := range items {
 			keys[i] = it.Key
 		}
-		if req.Op == "get" {
+		if op == batchwire.OpGet {
 			results, err = s.c.MGet(keys)
 		} else {
 			results, err = s.c.MDelete(keys)
 		}
-	default:
-		writeErr(w, http.StatusBadRequest, "unknown batch op %q (want put, get or delete)", req.Op)
-		return
 	}
 	if err != nil {
 		writeErr(w, clusterErrCode(err), "%v", err)
+		return
+	}
+	if binary {
+		out := make([]batchwire.Result, len(results))
+		for i, res := range results {
+			out[i] = batchwire.Result{Value: res.Value, Found: res.Found, Err: res.Err}
+		}
+		buf := batchwire.AppendResponse(nil, out)
+		w.Header().Set("Content-Type", batchwire.ContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(buf)
 		return
 	}
 	resp := BatchResponse{Results: make([]BatchResult, len(results))}

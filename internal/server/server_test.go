@@ -24,7 +24,7 @@ var ctx = context.Background()
 
 // boot starts an in-memory cluster with the given shape and serves its API
 // from an httptest server.
-func boot(t *testing.T, snodes, vnodes int) (*cluster.Cluster, *httptest.Server) {
+func boot(t testing.TB, snodes, vnodes int) (*cluster.Cluster, *httptest.Server) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Pmin: 32, Vmin: 8, Seed: 1}, transport.NewMem())
 	if err != nil {
